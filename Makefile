@@ -62,8 +62,10 @@ bench-json:
 
 # Regression gate without writing a snapshot: the event engine must be
 # at least as fast as the per-cycle conformance ticker on every Table-3
-# benchmark (speedup is a within-run ratio, so this is stable across
-# machines; mirrors the CI bench job). -scale 4 lengthens each timed
+# benchmark, and if the default -shards setting builds the sharded
+# engine on >= 2 CPUs it must be at least as fast as serial (speedups
+# are within-run ratios, so this is stable across machines; mirrors the
+# CI bench job). -scale 4 lengthens each timed
 # run (x264 is only ~8k cycles at scale 1 — a few ms of wall time) so
 # one scheduler blip on a noisy runner cannot flip the ratio.
 bench-gate:

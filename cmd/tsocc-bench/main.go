@@ -49,7 +49,7 @@ func main() {
 	perf := flag.Bool("perf", false, "report simulator throughput (cycles/sec, ns/simcycle) as JSON and exit")
 	scaling := flag.String("scaling", "", "-perf only: comma-separated core counts for the scaling-curve leg (e.g. 8,64,128,256; empty = off)")
 	batched := flag.Bool("batched", true, "batched straight-line core execution (config.System.BatchedCore)")
-	shards := flag.Int("shards", 0, "engine shards (0 = auto from GOMAXPROCS, 1 = single-threaded)")
+	shards := flag.Int("shards", 0, "engine shards (0 or 1 = single-threaded wake-set engine, the fastest measured; N>=2 = sharded across N goroutines, bit-identical); the grid runs GOMAXPROCS cells at once, so an explicit N there means N x GOMAXPROCS goroutines")
 	faultSpec := flag.String("faults", "", "fault-injection profile(s): jitter, pressure, burst, evict, reset-storm, victim; parameterized name:key=val and composed with + or , (empty = off)")
 	faultSeed := flag.Uint64("fault-seed", 1, "fault-injection seed")
 	checks := flag.Bool("checks", false, "enable runtime invariant oracles (SWMR, value, TSO order)")
@@ -108,12 +108,6 @@ func main() {
 			}
 			protos = append(protos, p)
 		}
-	}
-
-	// 0 = auto: follow GOMAXPROCS (1 on a single-CPU runner, which is
-	// exactly the single-threaded engine).
-	if *shards == 0 {
-		*shards = runtime.GOMAXPROCS(0)
 	}
 
 	if *traceOut != "" || *traceIn != "" {
@@ -466,6 +460,10 @@ func runPerf(cores, scale int, seed uint64, shards int, benches []string, protos
 				rec.Speedup = rec.WallNsPerCycle / rec.WallNsEvent
 				rec.BatchedSpeedup = rec.WallNsUnbatched / rec.WallNsEvent
 			}
+			defCfg := config.Scaled(cores)
+			defCfg.Shards = shards
+			defCfg.Checks = checks
+			rec.DefaultShards = system.ResolveShards(defCfg)
 			if err := measureParallel(&rec, cores, shards, proto, gen, p,
 				faultSpec, faultSeed, checks); err != nil {
 				return err
@@ -499,10 +497,21 @@ func runPerf(cores, scale int, seed uint64, shards int, benches []string, protos
 	return enc.Encode(out)
 }
 
+// parallelLegShards is the shard count -perf times the sharded engine
+// at: an explicit -shards N >= 2, else GOMAXPROCS, clamped to the core
+// count. The default engine is serial, but every snapshot from a
+// multi-CPU host still records how the sharded engine compares.
+func parallelLegShards(shards, cores int) int {
+	if shards < 2 {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	return min(shards, cores)
+}
+
 // measureScaling times one benchmark × protocol cell at an arbitrary
 // machine size (the Large preset: Table 2 per-tile shape, auto mesh)
 // under the per-cycle and batched-event engines, plus the sharded
-// engine when more than one shard is in play. Two reps best-of per
+// engine when parallelLegShards exceeds 1. Two reps best-of per
 // engine: the curve spans up to 256 cores, so the leg trades a little
 // timing stability for a bounded total run.
 func measureScaling(cores, scale int, seed uint64, shards int, gen workloads.Generator,
@@ -545,9 +554,7 @@ func measureScaling(cores, scale int, seed uint64, shards int, gen workloads.Gen
 	if pt.WallNsEvent > 0 {
 		pt.Speedup = pt.WallNsPerCycle / pt.WallNsEvent
 	}
-	if shards > cores {
-		shards = cores
-	}
+	shards = parallelLegShards(shards, cores)
 	if shards <= 1 || checks {
 		return pt, nil
 	}
@@ -583,17 +590,15 @@ func measureScaling(cores, scale int, seed uint64, shards int, gen workloads.Gen
 // measureParallel fills a record's sharded-engine fields: the batched
 // event configuration (the production default, whose serial number is
 // WallNsEvent) re-timed with the wake-set engine sharded across
-// goroutines. The leg is skipped — fields left zero — when the resolved
-// shard count is 1 (single-CPU runner or explicit -shards 1) or when
+// parallelLegShards goroutines. The leg is skipped — fields left zero —
+// on a single-CPU runner without an explicit -shards N >= 2, or when
 // the oracles are on (checks force the serial engine). ParallelSpeedup
 // is a within-run wall-time ratio, but unlike the engine-mode speedups
 // it only demonstrates anything when GOMAXPROCS >= Shards, so the
 // per-record GOMAXPROCS is recorded alongside for the benchdiff gate.
 func measureParallel(rec *benchfmt.Record, cores, shards int, proto system.Protocol,
 	gen workloads.Generator, p workloads.Params, faultSpec string, faultSeed uint64, checks bool) error {
-	if shards > cores {
-		shards = cores
-	}
+	shards = parallelLegShards(shards, cores)
 	if shards <= 1 || checks {
 		return nil
 	}

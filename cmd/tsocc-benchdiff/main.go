@@ -22,9 +22,13 @@
 // sharded engine must never lose to the single-threaded one. Records
 // timed without the CPUs to back the shards (gomaxprocs < 4) carry the
 // numbers but are exempt — a 1-CPU runner interleaving 4 shards proves
-// nothing about the parallel engine. Speedups are within-host ratios,
-// so the gate is meaningful on any machine; absolute ns/cycle deltas
-// are only comparable when the recorded host metadata matches.
+// nothing about the parallel engine. Separately, the default engine
+// must be the faster one: a record whose default_shards is >= 2 (the
+// CLIs' -shards setting builds the sharded engine) and was timed at
+// GOMAXPROCS >= 2 fails unless parallel_vs_serial_speedup >= 1.0.
+// Speedups are within-host ratios, so the gate is meaningful on any
+// machine; absolute ns/cycle deltas are only comparable when the
+// recorded host metadata matches.
 package main
 
 import (
@@ -162,7 +166,7 @@ func runGate(w, errw io.Writer, cur *benchfmt.Snapshot, path string) bool {
 		return false
 	}
 	ok := true
-	gated := 0
+	gated, defaultGated := 0, 0
 	for _, r := range cur.Results {
 		if r.Speedup < 1.0 {
 			fmt.Fprintf(errw, "GATE FAIL: %s event_vs_percycle_speedup = %.3f < 1.0\n",
@@ -175,6 +179,15 @@ func runGate(w, errw io.Writer, cur *benchfmt.Snapshot, path string) bool {
 				fmt.Fprintf(errw,
 					"GATE FAIL: %s parallel_vs_serial_speedup = %.3f < 1.0 (shards=%d, gomaxprocs=%d)\n",
 					r.Key(), r.ParallelSpeedup, r.Shards, r.GOMAXPROCS)
+				ok = false
+			}
+		}
+		if r.DefaultShards >= 2 && r.GOMAXPROCS >= 2 {
+			defaultGated++
+			if r.ParallelSpeedup < 1.0 {
+				fmt.Fprintf(errw,
+					"GATE FAIL: %s default engine is sharded (default_shards=%d, gomaxprocs=%d) but parallel_vs_serial_speedup = %.3f < 1.0\n",
+					r.Key(), r.DefaultShards, r.GOMAXPROCS, r.ParallelSpeedup)
 				ok = false
 			}
 		}
@@ -198,6 +211,9 @@ func runGate(w, errw io.Writer, cur *benchfmt.Snapshot, path string) bool {
 	fmt.Fprintf(w, "gate ok: event engine >= per-cycle on all %d benchmarks\n", len(cur.Results))
 	if gated > 0 {
 		fmt.Fprintf(w, "gate ok: sharded engine >= serial on all %d parallel-timed benchmarks\n", gated)
+	}
+	if defaultGated > 0 {
+		fmt.Fprintf(w, "gate ok: sharded default engine >= serial on all %d benchmarks\n", defaultGated)
 	}
 	if scaleGated > 0 {
 		fmt.Fprintf(w, "gate ok: event engine >= per-cycle on all %d scaling points at >= 64 cores\n", scaleGated)

@@ -144,3 +144,39 @@ func TestDiffRendersScalingCurve(t *testing.T) {
 		t.Errorf("scaling deltas not rendered:\n%s", b.String())
 	}
 }
+
+// twoCPURecord is an 8-core record from a 2-CPU host where the sharded
+// engine ran at 0.19x serial, with the given default shard count.
+func twoCPURecord(defaultShards int) benchfmt.Record {
+	r := newRecord()
+	r.Shards = 2
+	r.GOMAXPROCS = 2
+	r.WallNsParallel = 100 / 0.19
+	r.ParallelSpeedup = 0.19
+	r.DefaultShards = defaultShards
+	return r
+}
+
+// TestGateShardedDefaultSlowerThanSerial: a default that resolves to the
+// sharded engine must not be slower than serial on the host that
+// measured it.
+func TestGateShardedDefaultSlowerThanSerial(t *testing.T) {
+	cur := &benchfmt.Snapshot{Results: []benchfmt.Record{twoCPURecord(2)}}
+	var out, errs strings.Builder
+	if runGate(&out, &errs, cur, "x.json") {
+		t.Fatal("gate passed a sharded default at 0.19x serial on 2 CPUs")
+	}
+	if !strings.Contains(errs.String(), "default engine is sharded") {
+		t.Errorf("gate failure did not name the sharded default:\n%s", errs.String())
+	}
+}
+
+// TestGateSerialDefaultPasses: the same slow sharded leg is only data
+// when the default is serial.
+func TestGateSerialDefaultPasses(t *testing.T) {
+	cur := &benchfmt.Snapshot{Results: []benchfmt.Record{twoCPURecord(1)}}
+	var out, errs strings.Builder
+	if !runGate(&out, &errs, cur, "x.json") {
+		t.Fatalf("gate failed a serial default: %s", errs.String())
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/coherence"
@@ -27,7 +26,7 @@ func main() {
 	faultSpec := flag.String("faults", "", "fault-injection profile(s): jitter, pressure, burst, evict, reset-storm, victim; parameterized name:key=val and composed with + or , (empty = off)")
 	faultSeed := flag.Uint64("fault-seed", 1, "fault-injection seed")
 	checks := flag.Bool("checks", false, "enable runtime invariant oracles (SWMR, value, TSO order)")
-	shards := flag.Int("shards", 0, "engine shards (0 = auto from GOMAXPROCS, 1 = single-threaded)")
+	shards := flag.Int("shards", 0, "engine shards (0 or 1 = single-threaded wake-set engine, the fastest measured; N>=2 = sharded across N goroutines, bit-identical)")
 	protoList := flag.String("proto", "", "comma-separated protocol subset (registry names; default all)")
 	verbose := flag.Bool("v", false, "print outcome histograms")
 	listW := flag.Bool("list-workloads", false, "list workloads (registry + synthetic extras) and exit")
@@ -64,9 +63,6 @@ func main() {
 	cfg.FaultSeed = *faultSeed
 	cfg.Checks = *checks
 	cfg.Shards = *shards
-	if cfg.Shards == 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
 	// One registry/timeline accumulates over every test × iteration
 	// (litmus iterations are sequential, so sharing is race-free);
 	// same-named series across runs merge at dump time.

@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/coherence"
 	"repro/internal/config"
@@ -21,17 +20,6 @@ import (
 	"repro/internal/system"
 	"repro/internal/workloads"
 )
-
-// resolveShards maps the CLI convention (0 = auto) onto a concrete
-// engine shard count: auto follows GOMAXPROCS, 1 is the single-threaded
-// wake-set engine, and anything larger runs the sharded parallel engine
-// (results are bit-identical either way).
-func resolveShards(flagVal int) int {
-	if flagVal == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return flagVal
-}
 
 func main() {
 	bench := flag.String("bench", "intruder", "benchmark name (see -list-workloads)")
@@ -45,7 +33,7 @@ func main() {
 	faultUntil := flag.Uint64("fault-until", 0, "fault decision-counter window end, exclusive (0 = unbounded)")
 	checks := flag.Bool("checks", false, "enable runtime invariant oracles (SWMR, value, TSO order, protocol legality, tx lifecycle)")
 	doShrink := flag.Bool("shrink", false, "reduce a failing fault-injected run to a minimal (scale, fault-window) reproducer")
-	shards := flag.Int("shards", 0, "engine shards (0 = auto from GOMAXPROCS, 1 = single-threaded)")
+	shards := flag.Int("shards", 0, "engine shards (0 or 1 = single-threaded wake-set engine, the fastest measured; N>=2 = sharded across N goroutines, bit-identical)")
 	list := flag.Bool("list", false, "list workloads and protocols")
 	listW := flag.Bool("list-workloads", false, "list workloads (registry + synthetic extras) and exit")
 	listP := flag.Bool("list-protocols", false, "list registered protocols and exit")
@@ -88,7 +76,7 @@ func main() {
 	cfg.FaultFrom = *faultFrom
 	cfg.FaultUntil = *faultUntil
 	cfg.Checks = *checks
-	cfg.Shards = resolveShards(*shards)
+	cfg.Shards = *shards
 
 	if *doShrink {
 		if *faultSpec == "" {

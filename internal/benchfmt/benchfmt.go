@@ -57,6 +57,12 @@ type Record struct {
 	WallNsParallel  float64 `json:"wall_ns_parallel_engine,omitempty"`
 	ParallelSpeedup float64 `json:"parallel_vs_serial_speedup,omitempty"`
 
+	// DefaultShards is the shard count the run's -shards setting (0
+	// unless given) resolves to: the engine a CLI run with the same flag
+	// builds. 1 is the serial engine. Zero means the snapshot predates
+	// the field.
+	DefaultShards int `json:"default_shards,omitempty"`
+
 	// Trace-subsystem throughput: the benchmark is recorded once, then
 	// its trace is replayed (event engine) and round-tripped through
 	// the codec.

@@ -6,6 +6,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,6 +46,7 @@ type ShardedEngine struct {
 	started   bool
 	start     barrier
 	finish    barrier
+	workers   sync.WaitGroup
 
 	// Observability (internal/obs). barrierNs, when armed, accumulates
 	// each shard goroutine's host time spent waiting at the two epoch
@@ -270,6 +272,7 @@ func (se *ShardedEngine) Run() (Cycle, error) {
 			return 0, fmt.Errorf("sim: shard %d cannot run wake-set scheduling (missing hints)", s)
 		}
 	}
+	se.workers.Add(len(se.shards) - 1)
 	for i := 1; i < len(se.shards); i++ {
 		go se.worker(i)
 	}
@@ -338,6 +341,7 @@ func (se *ShardedEngine) Run() (Cycle, error) {
 
 // worker is the epoch loop of one non-coordinator shard.
 func (se *ShardedEngine) worker(i int) {
+	defer se.workers.Done()
 	if se.profLabels {
 		pprof.SetGoroutineLabels(pprof.WithLabels(se.shards[i].baseCtx,
 			pprof.Labels("shard", strconv.Itoa(i))))
@@ -352,8 +356,11 @@ func (se *ShardedEngine) worker(i int) {
 	}
 }
 
-// shutdown releases the workers: they observe stopped after the start
-// barrier and exit without touching shard state again.
+// shutdown releases the workers and joins them: they observe stopped
+// after the start barrier and exit without touching shard state again.
+// The join matters because a worker still accounts its final start-barrier
+// wait to barrierNs after the barrier opens; Run must not return (and let
+// the caller read BarrierWaitNs) until that write is done.
 func (se *ShardedEngine) shutdown() {
 	if !se.started || len(se.shards) == 1 {
 		se.started = false
@@ -361,6 +368,7 @@ func (se *ShardedEngine) shutdown() {
 	}
 	se.stopped = true
 	se.start.await()
+	se.workers.Wait()
 	se.started = false
 }
 

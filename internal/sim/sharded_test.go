@@ -139,3 +139,32 @@ func TestShardedEngineMatchesScanAllReference(t *testing.T) {
 		})
 	}
 }
+
+// TestShardedBarrierClockJoinedBeforeReturn reads every shard's barrier
+// clock right after Run returns. Each worker accounts its final
+// start-barrier wait after the barrier opens, so Run must join the
+// workers before returning; under -race a missing join shows up here
+// as a write in the worker racing the read below.
+func TestShardedBarrierClockJoinedBeforeReturn(t *testing.T) {
+	const look = Cycle(2)
+	for rep := 0; rep < 20; rep++ {
+		se := NewShardedEngine(2, look, 0)
+		for s := 0; s < 2; s++ {
+			toy := &stimToy{id: s, shard: s, log: new([]workRec)}
+			for c := Cycle(1 + s); c < 200; c += 3 {
+				toy.selfDue = append(toy.selfDue, c)
+			}
+			se.Register(s, s, toy)
+			se.RegisterDoner(s, toy)
+		}
+		se.EnableBarrierClock()
+		if _, err := se.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < se.Shards(); s++ {
+			if ns := se.BarrierWaitNs(s); ns < 0 {
+				t.Fatalf("shard %d barrier clock went negative: %d", s, ns)
+			}
+		}
+	}
+}

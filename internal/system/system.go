@@ -194,12 +194,22 @@ func (m *Machine) Shards() int {
 	return m.SE.Shards()
 }
 
-// resolveShards maps cfg.Shards to the effective shard count: 0 and 1
+// ResolveShards maps cfg.Shards to the effective shard count: 0 and 1
 // select the single-threaded engine, larger values clamp to the core
 // count, and PerCycleEngine or Checks force 1 (the per-cycle baseline
 // is inherently serial; the oracle tracker observes cross-core order
 // through shared state).
-func resolveShards(cfg config.System) int {
+//
+// 0 (every CLI's default) is serial, with no GOMAXPROCS or core-count
+// crossover, because sharding has not been measured to win. On a 2-CPU
+// host (seed 1, wall time, -shards 2 against -shards 1) canneal took
+// 0.76-0.82 s sharded vs 0.71-0.73 s serial at 64 cores, 2.1-3.2 s vs
+// 1.8-2.3 s at 128, and 4.9-5.1 s vs 5.3-5.4 s at 256: a 1.07x win at
+// 1.9x the CPU, short of a 1.3x bar at every size. The Figure 3-9 grid
+// at 8 cores, which already runs GOMAXPROCS cells side by side, took
+// 5.2-6.1 s with every cell at 2 shards and 1.25-1.7 s serial. Hosts
+// with 4 or more CPUs are unmeasured.
+func ResolveShards(cfg config.System) int {
 	k := cfg.Shards
 	if k > cfg.Cores {
 		k = cfg.Cores
@@ -217,7 +227,7 @@ func newBase(cfg config.System, proto Protocol, initMem map[uint64]uint64) (*Mac
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	shards := resolveShards(cfg)
+	shards := ResolveShards(cfg)
 	net := mesh.New(mesh.Config{Routers: cfg.Cores, Rows: cfg.MeshRows})
 	m := &Machine{Cfg: cfg, Net: net, proto: proto}
 	if shards > 1 {

@@ -361,3 +361,31 @@ func TestCrossProtocolFunctionalEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultShardsBuildSerialEngine pins the engine the CLIs' default
+// builds: Shards 0 (the -shards default) and 1 select the serial
+// wake-set engine on both the 8-core and the 64-core presets, and only
+// an explicit count >= 2 builds the sharded engine.
+func TestDefaultShardsBuildSerialEngine(t *testing.T) {
+	for _, preset := range []struct {
+		name string
+		cfg  config.System
+	}{{"Scaled8", config.Scaled(8)}, {"Large64", config.Large64()}} {
+		for _, tc := range []struct{ shards, want int }{{0, 1}, {1, 1}, {2, 2}} {
+			t.Run(fmt.Sprintf("%s/shards%d", preset.name, tc.shards), func(t *testing.T) {
+				cfg := preset.cfg
+				cfg.Shards = tc.shards
+				m, err := system.NewMachine(cfg, mesi.New(), counterWorkload(2, 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := m.Shards(); got != tc.want {
+					t.Fatalf("Shards() = %d, want %d", got, tc.want)
+				}
+				if serial := m.SE == nil; serial != (tc.want == 1) {
+					t.Fatalf("serial engine = %v, want %v", serial, tc.want == 1)
+				}
+			})
+		}
+	}
+}
