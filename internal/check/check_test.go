@@ -55,6 +55,8 @@ func (f *fakeL1) NextWake(now sim.Cycle) sim.Cycle        { return sim.WakeNever
 func (f *fakeL1) BindWaker(w sim.Waker)                   {}
 func (f *fakeL1) Busy() bool                              { return false }
 func (f *fakeL1) SnoopBlock(addr uint64) ([]byte, bool)   { return nil, f.owns[addr] }
+func (f *fakeL1) SetHooks(coherence.Hooks)                {}
+func (f *fakeL1) PrewarmStorage()                         {}
 
 type clock struct{ c sim.Cycle }
 

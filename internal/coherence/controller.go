@@ -23,6 +23,13 @@ type Controller interface {
 	// line). Used after a run completes so functional checks observe the
 	// freshest value without forcing writebacks.
 	SnoopBlock(addr uint64) ([]byte, bool)
+	// SetHooks attaches the controller's fault, oracle and
+	// observability hooks (see Hooks).
+	SetHooks(h Hooks)
+	// PrewarmStorage materializes lazily allocated cache storage.
+	// Timing harnesses call it before starting the clock so first-touch
+	// chunk allocation lands in setup, not in the measured run.
+	PrewarmStorage()
 }
 
 // L1Like is the full interface of a private-cache controller: a

@@ -5,98 +5,53 @@ import (
 	"repro/internal/stats"
 )
 
-// Optional controller hooks, discovered by interface assertion at
-// system build time (the same pattern as the TxTable stall hook): a
-// controller that implements one inherits the corresponding fault
-// profile or oracle without the system layer knowing the protocol.
-// All hooks are nil-guarded function fields inside the controllers, so
-// a run without faults or checks pays nothing on the hot path.
-
-// EvictFaulter is implemented by L1 controllers that can force their
-// own eviction path early (the "evict" fault profile). The hook is
-// consulted on accesses that hit a valid, unpinned line; a true return
-// makes the controller evict the line through its normal victim
-// machinery and take the miss path instead.
-type EvictFaulter interface {
-	SetEvictFault(f func() bool)
+// Hooks are a controller's fault-injection, oracle and observability
+// attachment points. The system layer builds one value per controller
+// from the fault injector, the oracle tracker and the metrics registry
+// and hands it over with a single SetHooks call. Every field is nil in
+// a nominal run and every call site is nil-guarded, so a run without
+// faults, checks or metrics pays one predictable branch per site. A
+// protocol ignores the fields it has no site for (MESI has no
+// timestamps, so it never reads ResetFault).
+type Hooks struct {
+	// EvictFault (L1, the "evict" fault profile) is consulted on
+	// accesses that hit a valid, unpinned line; true makes the
+	// controller evict the line through its normal victim machinery and
+	// take the miss path instead.
+	EvictFault func() bool
+	// ResetFault (bounded-timestamp controllers, the "reset-storm"
+	// profile) is consulted at each timestamp assignment; true forces
+	// the reset/rollover broadcast as if the timestamp space were
+	// exhausted.
+	ResetFault func() bool
+	// AckDelay (directories, the "victim" profile) is consulted when a
+	// PutAck is about to be scheduled and returns extra cycles to add
+	// (0 = on time).
+	AckDelay func() sim.Cycle
+	// Transition reports every per-line state mutation to the
+	// protocol-legality oracle with the line address and the (from, to)
+	// state ids: direct hops only, in the protocol's own encodings
+	// (0 = invalid/absent). Self-loops are not reported.
+	Transition func(addr uint64, from, to int)
+	// MissLatency (L1) receives each completed miss's kind and
+	// issue-to-completion latency in cycles.
+	MissLatency func(read bool, cycles sim.Cycle)
 }
 
-// ResetFaulter is implemented by controllers with bounded-timestamp
-// state that can roll over early (the "reset-storm" fault profile).
-// The hook is consulted at each timestamp assignment; a true return
-// forces the controller's reset/rollover broadcast as if the timestamp
-// space were exhausted. Protocols without timestamps (MESI) simply
-// don't implement the interface.
-type ResetFaulter interface {
-	SetResetFault(f func() bool)
-}
-
-// AckDelayFaulter is implemented by directory controllers that can
-// hold back eviction acknowledgements (the "victim" fault profile).
-// The hook is consulted when a PutAck is about to be scheduled and
-// returns extra cycles to add (0 = on time).
-type AckDelayFaulter interface {
-	SetAckDelayFault(f func() sim.Cycle)
-}
-
-// TransitionReporter is implemented by controllers that report
-// per-line state transitions to the protocol-legality oracle. The sink
-// is called at every state mutation with the line address and the
-// (from, to) state ids — direct hops only, using the protocol's own
-// state encodings (0 = invalid/absent). Self-loops are not reported.
-type TransitionReporter interface {
-	SetTransitionSink(f func(addr uint64, from, to int))
-}
-
-// StoragePrewarmer is implemented by controllers whose cache arrays
-// materialize lazily (memsys.Cache chunks). Timing harnesses prewarm
-// every controller before starting the clock so first-touch chunk
-// allocation lands in setup, not the measured run; everything else
-// keeps the lazy footprint.
-type StoragePrewarmer interface {
-	PrewarmStorage()
-}
-
-// TxAuditor is implemented by controllers that own a TxTable and can
-// arm its continuous lifecycle audit (see TxTable.ArmAudit).
-type TxAuditor interface {
-	ArmTxAudit(maxAge sim.Cycle, report func(string))
-}
-
-// TxDebugger exposes a controller's transaction-table state dump for
-// forensic reports.
-type TxDebugger interface {
-	TxDebug() string
-}
-
-// MissLatencyReporter is implemented by L1 controllers that can report
-// per-miss issue-to-completion latency to the observability layer. The
-// sink is called once per completed miss with whether it was a read and
-// how many cycles the request was outstanding. A nil sink (the default)
-// leaves the hot path untouched.
-type MissLatencyReporter interface {
-	SetMissLatencySink(f func(read bool, cycles sim.Cycle))
-}
-
-// TxObserver is implemented by directory controllers that own a TxTable
-// and can forward its transaction lifecycle to the observability layer:
-// lat receives each transaction's birth-to-death latency, span receives
-// begin/end edges (see TxTable.SetObsSinks). Either may be nil.
-type TxObserver interface {
-	SetTxObs(lat func(cycles sim.Cycle), span func(begin bool, now sim.Cycle, addr uint64, kind int))
-}
-
-// TxKindNamer optionally names a directory controller's transaction
-// kinds for timeline span labels (protocol state terms, e.g.
-// "await-acks"). Controllers without it get numeric kinds.
-type TxKindNamer interface {
-	TxKindName(kind int) string
-}
-
-// ObsCounterProvider is implemented by components that expose named
-// event counters for metrics-registry registration. Every returned
-// counter must carry a name (stats.Counter.SetName) — the registry's
-// unnamed-counter test enforces this.
-type ObsCounterProvider interface {
-	ObsCounters() []*stats.Counter
+// Directory is the full interface of a directory (L2 tile) controller:
+// a Controller that owns a TxTable, can name the L1 holding a block
+// exclusively, and exposes its protocol-level event counters.
+type Directory interface {
+	Controller
+	sim.Labeled
+	// Txs returns the tile's transaction table; the system layer arms
+	// its stall hook, lifecycle audit and observability sinks directly.
+	Txs() *TxTable
+	// SnoopOwner reports the L1 holding addr exclusively, if any, so
+	// post-run functional reads snoop only the cache that can hold a
+	// fresher copy.
+	SnoopOwner(addr uint64) (NodeID, bool)
+	// Counters returns the tile's named protocol counters (the TxTable's
+	// own lifecycle counters are not included; read them from Txs).
+	Counters() []*stats.Counter
 }

@@ -37,7 +37,7 @@ type Memory interface {
 // the known set.
 type Protocol interface {
 	Name() string
-	Build(sys config.System, net Network, mem Memory) ([]L1Like, []Controller)
+	Build(sys config.System, net Network, mem Memory) ([]L1Like, []Directory)
 }
 
 // registryEntry pairs a factory with its plotting order.

@@ -9,7 +9,7 @@ import (
 type fakeProto struct{ name string }
 
 func (p fakeProto) Name() string { return p.name }
-func (p fakeProto) Build(config.System, Network, Memory) ([]L1Like, []Controller) {
+func (p fakeProto) Build(config.System, Network, Memory) ([]L1Like, []Directory) {
 	return nil, nil
 }
 

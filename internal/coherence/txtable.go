@@ -104,6 +104,10 @@ type TxTable struct {
 	auditFn   func(string)
 	lastNow   sim.Cycle
 	lastSweep sim.Cycle
+
+	// kindNames names the protocol's transaction kinds (indexed by
+	// Tx.Kind) for timeline span labels; see SetKindNames.
+	kindNames []string
 }
 
 // SetLabel names the table's lifecycle counters so negative-delta
@@ -113,6 +117,19 @@ func (t *TxTable) SetLabel(label string) {
 	t.Dels.SetName(label + ".tx_dels")
 	t.Waits.SetName(label + ".tx_waits")
 	t.Retries.SetName(label + ".tx_retries")
+}
+
+// SetKindNames names the protocol's transaction kinds in protocol state
+// terms (e.g. "await-ack"), indexed by Tx.Kind.
+func (t *TxTable) SetKindNames(names []string) { t.kindNames = names }
+
+// KindName names a transaction kind for timeline span labels; kinds the
+// protocol left unnamed render as "kind-N".
+func (t *TxTable) KindName(kind int) string {
+	if kind >= 0 && kind < len(t.kindNames) && t.kindNames[kind] != "" {
+		return t.kindNames[kind]
+	}
+	return fmt.Sprintf("kind-%d", kind)
 }
 
 // Counters returns the table's lifecycle counters for metrics-registry

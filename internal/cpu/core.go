@@ -206,15 +206,10 @@ func (c *Core) Done() bool {
 	return c.halted && c.wbLen == 0 && !c.wbInFlight && !c.waiting
 }
 
-// Counts implements system.Frontend: the core-level counters aggregated
-// into a run's Result.
-func (c *Core) Counts() (loads, stores, rmws, fences, instrs int64) {
-	return c.Loads.Value(), c.Stores.Value(), c.RMWs.Value(),
-		c.Fences.Value(), c.Instructions.Value()
-}
-
-// ObsCounters implements coherence.ObsCounterProvider.
-func (c *Core) ObsCounters() []*stats.Counter {
+// Counters returns the frontend's named retirement counters (the
+// system.Frontend counting contract: Result and the metrics registry
+// both read this one list).
+func (c *Core) Counters() []*stats.Counter {
 	return []*stats.Counter{&c.Loads, &c.Stores, &c.RMWs, &c.Fences,
 		&c.Instructions, &c.WBForwards, &c.WBFullStalls}
 }

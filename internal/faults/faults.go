@@ -340,14 +340,37 @@ func (in *Injector) PortActive() bool { return in.pressure != nil }
 // TxActive reports whether the injector stalls TxTable consumption.
 func (in *Injector) TxActive() bool { return in.pressure != nil }
 
-// EvictActive reports whether the injector forces early L1 evictions.
-func (in *Injector) EvictActive() bool { return in.evict != nil }
-
-// ResetActive reports whether the injector storms timestamp resets.
-func (in *Injector) ResetActive() bool { return in.reset != nil }
-
 // VictimActive reports whether the injector delays L2 eviction acks.
 func (in *Injector) VictimActive() bool { return in.victim != nil }
+
+// L1Hooks returns the fault fields of core's L1 hooks: forced
+// evictions and timestamp-reset storms, each nil unless its profile is
+// active. A nil injector returns empty hooks.
+func (in *Injector) L1Hooks(core int) coherence.Hooks {
+	var h coherence.Hooks
+	if in != nil && in.evict != nil {
+		h.EvictFault = in.EvictHook(core)
+	}
+	if in != nil && in.reset != nil {
+		h.ResetFault = in.ResetHook(coherence.L1ID(core))
+	}
+	return h
+}
+
+// L2Hooks returns the fault fields of directory tile's hooks on a
+// cores-tile machine: timestamp-reset storms and delayed eviction acks,
+// each nil unless its profile is active. A nil injector returns empty
+// hooks.
+func (in *Injector) L2Hooks(tile, cores int) coherence.Hooks {
+	var h coherence.Hooks
+	if in != nil && in.reset != nil {
+		h.ResetFault = in.ResetHook(coherence.L2ID(tile, cores))
+	}
+	if in != nil && in.victim != nil {
+		h.AckDelay = in.AckDelay(tile)
+	}
+	return h
+}
 
 // Decision sites, mixed into the hash so the same counter value at
 // different hook points draws independent rolls.

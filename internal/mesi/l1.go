@@ -67,31 +67,22 @@ type L1 struct {
 	evict     map[uint64]*evictEntry
 	evictFree []*evictEntry
 
-	// Optional hooks, nil in nominal runs (see coherence hooks doc):
-	// evictFault forces the eviction path on a valid-line access,
-	// transSink reports line-state transitions to the legality oracle,
-	// missSink reports per-miss issue-to-completion latency.
-	evictFault func() bool
-	transSink  func(addr uint64, from, to int)
-	missSink   func(read bool, cycles sim.Cycle)
+	// hooks are the fault, oracle and metrics attachment points; every
+	// field is nil in a nominal run.
+	hooks coherence.Hooks
 
 	Stats coherence.L1Stats
 }
 
-// SetEvictFault implements coherence.EvictFaulter.
-func (l *L1) SetEvictFault(f func() bool) { l.evictFault = f }
-
-// SetTransitionSink implements coherence.TransitionReporter.
-func (l *L1) SetTransitionSink(f func(addr uint64, from, to int)) { l.transSink = f }
-
-// SetMissLatencySink implements coherence.MissLatencyReporter.
-func (l *L1) SetMissLatencySink(f func(read bool, cycles sim.Cycle)) { l.missSink = f }
+// SetHooks implements coherence.Controller. MESI has no timestamps, so
+// ResetFault is never read.
+func (l *L1) SetHooks(h coherence.Hooks) { l.hooks = h }
 
 // trans reports a line-state transition to the legality oracle;
 // self-loops are dropped here so call sites stay simple.
 func (l *L1) trans(addr uint64, from, to int) {
-	if l.transSink != nil && from != to {
-		l.transSink(addr, from, to)
+	if l.hooks.Transition != nil && from != to {
+		l.hooks.Transition(addr, from, to)
 	}
 }
 
@@ -200,7 +191,7 @@ func (l *L1) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
 		return false // serialize same-block read/write transactions
 	}
 	if w := l.cache.Lookup(addr); w != nil {
-		if l.evictFault != nil && !w.Busy && l.evictFault() {
+		if l.hooks.EvictFault != nil && !w.Busy && l.hooks.EvictFault() {
 			l.evictLine(now, w) // forced early self-eviction; take the miss path
 		} else {
 			if w.Meta.state == stateS {
@@ -229,7 +220,7 @@ func (l *L1) Store(now sim.Cycle, addr uint64, val uint64, cb func()) bool {
 		return false
 	}
 	if w := l.cache.Lookup(addr); w != nil && w.Meta.state != stateS {
-		if l.evictFault != nil && !w.Busy && l.evictFault() {
+		if l.hooks.EvictFault != nil && !w.Busy && l.hooks.EvictFault() {
 			l.evictLine(now, w) // forced early self-eviction; take the miss path
 		} else {
 			l.trans(blk, w.Meta.state, stateM)
@@ -267,7 +258,7 @@ func (l *L1) RMW(now sim.Cycle, addr uint64, f func(uint64) (uint64, bool), cb f
 		return false
 	}
 	if w := l.cache.Lookup(addr); w != nil && w.Meta.state != stateS {
-		if l.evictFault != nil && !w.Busy && l.evictFault() {
+		if l.hooks.EvictFault != nil && !w.Busy && l.hooks.EvictFault() {
 			l.evictLine(now, w) // forced early self-eviction; take the miss path
 		} else {
 			old := memsys.GetWord(w.Data[:], addr)
@@ -387,8 +378,8 @@ func (l *L1) completeWrite(now sim.Cycle, data []byte) {
 	} else {
 		memsys.PutWord(w.Data[:], tx.wordAddr, tx.val)
 	}
-	if l.missSink != nil {
-		l.missSink(false, now-tx.issued)
+	if l.hooks.MissLatency != nil {
+		l.hooks.MissLatency(false, now-tx.issued)
 	}
 	l.wr = nil
 	if tx.isRMW {
@@ -412,8 +403,8 @@ func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state int) {
 		l.trans(m.Addr, from, state)
 		w.Meta.state = state
 	}
-	if l.missSink != nil {
-		l.missSink(true, now-tx.issued)
+	if l.hooks.MissLatency != nil {
+		l.hooks.MissLatency(true, now-tx.issued)
 	}
 	l.rd = nil
 	tx.cb(val)
@@ -539,5 +530,5 @@ func (l *L1) Debug() string {
 	return s
 }
 
-// PrewarmStorage implements coherence.StoragePrewarmer.
+// PrewarmStorage implements coherence.Controller.
 func (l *L1) PrewarmStorage() { l.cache.Prewarm() }

@@ -52,38 +52,30 @@ type L2 struct {
 	// discipline (see coherence.TxTable).
 	txs coherence.TxTable
 
-	// Optional hooks, nil in nominal runs (see coherence hooks doc):
-	// ackDelayFault holds back PutAck scheduling (victim fault profile),
-	// transSink reports directory-state transitions to the legality oracle.
-	ackDelayFault func() sim.Cycle
-	transSink     func(addr uint64, from, to int)
+	// hooks are the fault, oracle and metrics attachment points; every
+	// field is nil in a nominal run.
+	hooks coherence.Hooks
 }
 
-// SetAckDelayFault implements coherence.AckDelayFaulter.
-func (t *L2) SetAckDelayFault(f func() sim.Cycle) { t.ackDelayFault = f }
-
-// SetTransitionSink implements coherence.TransitionReporter.
-func (t *L2) SetTransitionSink(f func(addr uint64, from, to int)) { t.transSink = f }
+// SetHooks implements coherence.Controller. MESI has no timestamps, so
+// ResetFault is never read.
+func (t *L2) SetHooks(h coherence.Hooks) { t.hooks = h }
 
 // trans reports a directory-state transition to the legality oracle.
 func (t *L2) trans(addr uint64, from, to int) {
-	if t.transSink != nil && from != to {
-		t.transSink(addr, from, to)
+	if t.hooks.Transition != nil && from != to {
+		t.hooks.Transition(addr, from, to)
 	}
 }
 
-// ArmTxAudit implements coherence.TxAuditor.
-func (t *L2) ArmTxAudit(maxAge sim.Cycle, report func(string)) { t.txs.ArmAudit(maxAge, report) }
+// Txs implements coherence.Directory.
+func (t *L2) Txs() *coherence.TxTable { return &t.txs }
 
-// TxDebug implements coherence.TxDebugger.
-func (t *L2) TxDebug() string { return fmt.Sprintf("mesi L2 tile %d:%s", t.tile, t.txs.Debug()) }
+// Counters implements coherence.Directory: MESI tiles count nothing
+// beyond their TxTable's lifecycle.
+func (t *L2) Counters() []*stats.Counter { return nil }
 
-// SetTxObs implements coherence.TxObserver.
-func (t *L2) SetTxObs(lat func(cycles sim.Cycle), span func(begin bool, now sim.Cycle, addr uint64, kind int)) {
-	t.txs.SetObsSinks(lat, span)
-}
-
-var txKindNames = [...]string{
+var txKindNames = []string{
 	txMemFetch: "mem-fetch",
 	txAwaitAck: "await-ack",
 	txFwdGetS:  "fwd-gets",
@@ -91,20 +83,6 @@ var txKindNames = [...]string{
 	txInvColl:  "inv-collect",
 	txEvict:    "evict",
 }
-
-// TxKindName implements coherence.TxKindNamer.
-func (t *L2) TxKindName(kind int) string {
-	if kind > 0 && kind < len(txKindNames) {
-		return txKindNames[kind]
-	}
-	return fmt.Sprintf("kind-%d", kind)
-}
-
-// TxLive reports registered-but-unretired transactions (leak check).
-func (t *L2) TxLive() int64 { return t.txs.LiveTx() }
-
-// ObsCounters implements coherence.ObsCounterProvider.
-func (t *L2) ObsCounters() []*stats.Counter { return t.txs.Counters() }
 
 // NewL2 builds directory tile `tile`.
 func NewL2(tile, cores int, sizeBytes, ways int, accessLat sim.Cycle, net coherence.Network, mem coherence.Memory) *L2 {
@@ -124,6 +102,7 @@ func NewL2(tile, cores int, sizeBytes, ways int, accessLat sim.Cycle, net cohere
 	l2.sendFn = l2.send
 	l2.txs.Init(l2.pool, l2.handle)
 	l2.txs.SetLabel(fmt.Sprintf("mesi.l2.%d", tile))
+	l2.txs.SetKindNames(txKindNames)
 	return l2
 }
 
@@ -150,10 +129,6 @@ func (t *L2) BindWaker(w sim.Waker) {
 
 // Deliver implements mesh.Endpoint.
 func (t *L2) Deliver(now sim.Cycle, m *coherence.Msg) { t.txs.Deliver(m) }
-
-// SetStall installs a TxTable consumption-stall hook (fault injection;
-// see faults.Injector.TxStall).
-func (t *L2) SetStall(f func(m *coherence.Msg) bool) { t.txs.SetStall(f) }
 
 // ComponentLabel implements sim.Labeled (forensic reports).
 func (t *L2) ComponentLabel() string { return fmt.Sprintf("mesi L2 tile %d", t.tile) }
@@ -497,8 +472,8 @@ func (t *L2) handlePut(now sim.Cycle, m *coherence.Msg) {
 // the reorder (PutAck only clears the buffered entry, so it is legal).
 func (t *L2) sendPutAck(now sim.Cycle, dst coherence.NodeID, addr uint64) {
 	extra := sim.Cycle(0)
-	if t.ackDelayFault != nil {
-		extra = t.ackDelayFault()
+	if t.hooks.AckDelay != nil {
+		extra = t.hooks.AckDelay()
 	}
 	t.timers.AtMsg(now+t.accessLat+extra, t.sendFn,
 		t.pool.NewFrom(coherence.Msg{Type: coherence.MsgPutAck, Dst: dst, Addr: addr}, nil))
@@ -509,5 +484,5 @@ func (t *L2) Debug() string {
 	return fmt.Sprintf("L2 %d:%s timers=%d", t.id, t.txs.Debug(), t.timers.Pending())
 }
 
-// PrewarmStorage implements coherence.StoragePrewarmer.
+// PrewarmStorage implements coherence.Controller.
 func (t *L2) PrewarmStorage() { t.cache.Prewarm() }

@@ -48,9 +48,9 @@ func (Protocol) Name() string { return "MESI" }
 
 // Build implements coherence.Protocol: one L1 per core and one directory
 // tile per core.
-func (Protocol) Build(cfg config.System, net coherence.Network, mem coherence.Memory) ([]coherence.L1Like, []coherence.Controller) {
+func (Protocol) Build(cfg config.System, net coherence.Network, mem coherence.Memory) ([]coherence.L1Like, []coherence.Directory) {
 	l1s := make([]coherence.L1Like, cfg.Cores)
-	l2s := make([]coherence.Controller, cfg.Cores)
+	l2s := make([]coherence.Directory, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		l1s[i] = NewL1(i, cfg.Cores, cfg.L1Size, cfg.L1Ways, cfg.L1HitLat, net)
 		l2s[i] = NewL2(i, cfg.Cores, cfg.L2TileSize, cfg.L2Ways, cfg.L2AccessLat, net, mem)

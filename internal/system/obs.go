@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/coherence"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -66,24 +65,13 @@ func (m *Machine) installObs() {
 		m.Net.SetTimeline(tl)
 	}
 
-	// L1s: hit/miss/self-invalidation counters and per-miss
-	// issue-to-completion latency histograms.
+	// L1s: hit/miss/self-invalidation counters (the per-miss latency
+	// histograms arrive through the controllers' hooks; see attachHooks).
 	if reg != nil {
 		for i, l1 := range m.L1s {
 			s := l1.L1Stats()
 			s.SetNames(fmt.Sprintf("l1.%d", i))
 			reg.RegisterCounter(s.Counters()...)
-			if mr, ok := l1.(coherence.MissLatencyReporter); ok {
-				rh := reg.NewHist("l1.read_miss_latency")
-				wh := reg.NewHist("l1.write_miss_latency")
-				mr.SetMissLatencySink(func(read bool, cycles sim.Cycle) {
-					if read {
-						rh.Observe(int64(cycles))
-					} else {
-						wh.Observe(int64(cycles))
-					}
-				})
-			}
 		}
 	}
 
@@ -94,17 +82,11 @@ func (m *Machine) installObs() {
 		tl.ProcessName(obs.PidTx, "directory tx")
 	}
 	for tile, l2 := range m.L2s {
-		if reg != nil {
-			if cp, ok := l2.(coherence.ObsCounterProvider); ok {
-				reg.RegisterCounter(cp.ObsCounters()...)
-			}
-		}
-		to, ok := l2.(coherence.TxObserver)
-		if !ok {
-			continue
-		}
+		txs := l2.Txs()
 		var lat func(sim.Cycle)
 		if reg != nil {
+			reg.RegisterCounter(txs.Counters()...)
+			reg.RegisterCounter(l2.Counters()...)
 			h := reg.NewHist("coherence.tx_latency")
 			lat = func(cycles sim.Cycle) { h.Observe(int64(cycles)) }
 		}
@@ -113,22 +95,15 @@ func (m *Machine) installObs() {
 			tile := tile
 			tl.ThreadName(obs.PidTx, tile, "tile "+strconv.Itoa(tile))
 			cat := "tx.t" + strconv.Itoa(tile)
-			namer, hasNames := l2.(coherence.TxKindNamer)
-			kindName := func(kind int) string {
-				if hasNames {
-					return namer.TxKindName(kind)
-				}
-				return "kind-" + strconv.Itoa(kind)
-			}
 			span = func(begin bool, now sim.Cycle, addr uint64, kind int) {
 				if begin {
-					tl.AsyncBegin(cat, addr, obs.PidTx, tile, kindName(kind), int64(now))
+					tl.AsyncBegin(cat, addr, obs.PidTx, tile, txs.KindName(kind), int64(now))
 				} else {
-					tl.AsyncEnd(cat, addr, obs.PidTx, tile, kindName(kind), int64(now))
+					tl.AsyncEnd(cat, addr, obs.PidTx, tile, txs.KindName(kind), int64(now))
 				}
 			}
 		}
-		to.SetTxObs(lat, span)
+		txs.SetObsSinks(lat, span)
 	}
 
 	// Frontends: retirement counters and stall-attribution histograms
@@ -139,12 +114,8 @@ func (m *Machine) installObs() {
 			if _, replay := f.(*trace.ReplayCore); replay {
 				prefix = "replay" + strconv.Itoa(m.frontCore[i])
 			}
-			if cp, ok := f.(coherence.ObsCounterProvider); ok {
-				reg.RegisterCounter(cp.ObsCounters()...)
-			}
-			if sr, ok := f.(interface{ SetStalls(*obs.CoreStalls) }); ok {
-				sr.SetStalls(reg.NewCoreStalls(prefix))
-			}
+			reg.RegisterCounter(f.Counters()...)
+			f.SetStalls(reg.NewCoreStalls(prefix))
 		}
 	}
 }

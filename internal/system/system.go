@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"strings"
 
 	"repro/internal/check"
 	"repro/internal/coherence"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/memsys"
 	"repro/internal/mesh"
+	"repro/internal/obs"
 	"repro/internal/program"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -41,8 +43,12 @@ type Frontend interface {
 	// Done reports whether the frontend has retired its full stream and
 	// drained its write buffer.
 	Done() bool
-	// Counts reports the core-level counters aggregated into Result.
-	Counts() (loads, stores, rmws, fences, instrs int64)
+	// Counters returns the frontend's named event counters ("coreN.loads",
+	// ...): collect derives Result's core-level counts from them and
+	// installObs registers them.
+	Counters() []*stats.Counter
+	// SetStalls attaches stall-attribution histograms (nil = off).
+	SetStalls(s *obs.CoreStalls)
 }
 
 // Result captures one run's outcome.
@@ -93,7 +99,7 @@ type Result struct {
 type quiesceDoner struct {
 	cores []Frontend
 	l1s   []coherence.L1Like
-	l2s   []coherence.Controller
+	l2s   []coherence.Directory
 	net   *mesh.Network
 
 	lastBusyCore int
@@ -147,7 +153,7 @@ type Machine struct {
 	Cores  []*cpu.Core // program-mode cores (empty for replay machines)
 	Fronts []Frontend  // every workload driver, program or replay
 	L1s    []coherence.L1Like
-	L2s    []coherence.Controller
+	L2s    []coherence.Directory
 	proto  Protocol
 
 	// shardOfTile maps each tile to its owning shard (nil when serial);
@@ -168,20 +174,15 @@ type Machine struct {
 func (m *Machine) Checks() *check.Tracker { return m.checks }
 
 // Prewarm materializes every controller's lazily-allocated cache
-// storage (coherence.StoragePrewarmer). Timing harnesses call it
-// before starting the clock so first-touch chunk allocation is setup
-// cost, not measured run cost; conformance and litmus runs skip it and
-// keep the sparse footprint.
+// storage. Timing harnesses call it before starting the clock so
+// first-touch chunk allocation is setup cost, not measured run cost;
+// conformance and litmus runs skip it and keep the sparse footprint.
 func (m *Machine) Prewarm() {
 	for _, l1 := range m.L1s {
-		if p, ok := l1.(coherence.StoragePrewarmer); ok {
-			p.PrewarmStorage()
-		}
+		l1.PrewarmStorage()
 	}
 	for _, l2 := range m.L2s {
-		if p, ok := l2.(coherence.StoragePrewarmer); ok {
-			p.PrewarmStorage()
-		}
+		l2.PrewarmStorage()
 	}
 }
 
@@ -300,40 +301,7 @@ func newBase(cfg config.System, proto Protocol, initMem map[uint64]uint64) (*Mac
 		}
 		if inj.TxActive() {
 			for tile, l2 := range l2s {
-				if st, ok := l2.(interface {
-					SetStall(func(m *coherence.Msg) bool)
-				}); ok {
-					st.SetStall(inj.TxStall(tile))
-				}
-			}
-		}
-		if inj.EvictActive() {
-			for core, l1 := range l1s {
-				if ef, ok := l1.(coherence.EvictFaulter); ok {
-					ef.SetEvictFault(inj.EvictHook(core))
-				}
-			}
-		}
-		if inj.ResetActive() {
-			// Timestamp-reset storms hit every bounded-timestamp domain:
-			// L1 epochs and L2 timestamp sources. Protocols without
-			// timestamps simply don't implement the interface.
-			for core, l1 := range l1s {
-				if rf, ok := l1.(coherence.ResetFaulter); ok {
-					rf.SetResetFault(inj.ResetHook(coherence.L1ID(core)))
-				}
-			}
-			for tile, l2 := range l2s {
-				if rf, ok := l2.(coherence.ResetFaulter); ok {
-					rf.SetResetFault(inj.ResetHook(coherence.L2ID(tile, cfg.Cores)))
-				}
-			}
-		}
-		if inj.VictimActive() {
-			for tile, l2 := range l2s {
-				if af, ok := l2.(coherence.AckDelayFaulter); ok {
-					af.SetAckDelayFault(inj.AckDelay(tile))
-				}
+				l2.Txs().SetStall(inj.TxStall(tile))
 			}
 		}
 		inj.SetWindow(cfg.FaultFrom, cfg.FaultUntil)
@@ -350,25 +318,54 @@ func newBase(cfg config.System, proto Protocol, initMem map[uint64]uint64) (*Mac
 			ctrls[i] = l
 		}
 		m.checks = check.New(ctrls, m.Engine.Now)
-		if leg := coherence.LegalityByName(proto.Name()); leg != nil {
-			for core, l1 := range l1s {
-				if tr, ok := l1.(coherence.TransitionReporter); ok {
-					tr.SetTransitionSink(m.checks.LegalitySink(core, "L1", &leg.L1))
-				}
-			}
-			for tile, l2 := range l2s {
-				if tr, ok := l2.(coherence.TransitionReporter); ok {
-					tr.SetTransitionSink(m.checks.LegalitySink(tile, "L2", &leg.L2))
-				}
-			}
-		}
 		for tile, l2 := range l2s {
-			if ta, ok := l2.(coherence.TxAuditor); ok {
-				ta.ArmTxAudit(txAuditAge, m.checks.TxLifeSink(tile))
-			}
+			l2.Txs().ArmAudit(txAuditAge, m.checks.TxLifeSink(tile))
 		}
 	}
+	m.attachHooks()
 	return m, nil
+}
+
+// attachHooks builds every controller's coherence.Hooks from the fault
+// injector, the legality oracle and the metrics registry, and attaches
+// them with one SetHooks call per controller.
+func (m *Machine) attachHooks() {
+	var leg *coherence.Legality
+	if m.checks != nil {
+		leg = coherence.LegalityByName(m.proto.Name())
+	}
+	var reg *obs.Registry
+	if o := m.Cfg.Obs; o != nil && o.Enabled() {
+		reg = o.Metrics
+	}
+	for core, l1 := range m.L1s {
+		h := m.inj.L1Hooks(core)
+		if leg != nil {
+			h.Transition = m.checks.LegalitySink(core, "L1", &leg.L1)
+		}
+		if reg != nil {
+			// One histogram pair per L1: under the sharded engine each is
+			// owned by a single shard goroutine; same-named series merge
+			// at dump.
+			rh := reg.NewHist("l1.read_miss_latency")
+			wh := reg.NewHist("l1.write_miss_latency")
+			h.MissLatency = func(read bool, cycles sim.Cycle) {
+				if read {
+					rh.Observe(int64(cycles))
+				} else {
+					wh.Observe(int64(cycles))
+				}
+			}
+		}
+		l1.SetHooks(h)
+	}
+	for tile, l2 := range m.L2s {
+		h := m.inj.L2Hooks(tile, m.Cfg.Cores)
+		if leg != nil {
+			h.Transition = m.checks.LegalitySink(tile, "L2", &leg.L2)
+		}
+		l2.SetHooks(h)
+	}
 }
 
 // txAuditAge is the outstanding-transaction age (cycles) at which the
@@ -477,7 +474,7 @@ func (m *Machine) finishSharded() {
 type shardDoner struct {
 	fronts []Frontend
 	l1s    []coherence.L1Like
-	l2s    []coherence.Controller
+	l2s    []coherence.Directory
 	net    *mesh.Network
 	shard  int
 }
@@ -618,9 +615,7 @@ func (m *Machine) forensics(reason string, panicValue any, stack []byte) *check.
 	gets, live := m.Net.PoolTotals()
 	var txd []string
 	for _, l2 := range m.L2s {
-		if d, ok := l2.(coherence.TxDebugger); ok {
-			txd = append(txd, d.TxDebug())
-		}
+		txd = append(txd, l2.ComponentLabel()+":"+l2.Txs().Debug())
 	}
 	return &check.Report{
 		Reason:      reason,
@@ -641,9 +636,7 @@ func (m *Machine) forensics(reason string, panicValue any, stack []byte) *check.
 func (m *Machine) txLive() int64 {
 	var n int64
 	for _, l2 := range m.L2s {
-		if tl, ok := l2.(interface{ TxLive() int64 }); ok {
-			n += tl.TxLive()
-		}
+		n += l2.Txs().LiveTx()
 	}
 	return n
 }
@@ -782,24 +775,20 @@ func (m *Machine) collect(cycles sim.Cycle) *Result {
 	for _, l := range m.L1s {
 		r.L1.Merge(l.L1Stats())
 	}
+	// Core-level and tile-level counts come from the components' named
+	// counter lists, keyed by the event part of each name
+	// ("core3.loads", "tsocc.l2.5.decay_events").
+	byEvent := map[string]*int64{
+		"loads": &r.Loads, "stores": &r.Stores, "rmws": &r.RMWs,
+		"fences": &r.Fences, "instructions": &r.Instructions,
+		"sro_transitions": &r.SROTransitions, "decay_events": &r.DecayEvents,
+		"sro_inv_bcasts": &r.SROInvBcasts, "timestamp_resets": &r.L2TSResets,
+	}
 	for _, l2 := range m.L2s {
-		if ts, ok := l2.(interface {
-			TileStats() (int64, int64, int64, int64)
-		}); ok {
-			sro, decay, bc, rs := ts.TileStats()
-			r.SROTransitions += sro
-			r.DecayEvents += decay
-			r.SROInvBcasts += bc
-			r.L2TSResets += rs
-		}
+		sumByEvent(l2.Counters(), byEvent)
 	}
 	for _, c := range m.Fronts {
-		loads, stores, rmws, fences, instrs := c.Counts()
-		r.Loads += loads
-		r.Stores += stores
-		r.RMWs += rmws
-		r.Fences += fences
-		r.Instructions += instrs
+		sumByEvent(c.Counters(), byEvent)
 	}
 	return r
 }
@@ -810,15 +799,18 @@ func (m *Machine) Reader() program.MemReader {
 	return hierReader{m}
 }
 
-type hierReader struct{ m *Machine }
-
-// ownerSnooper is implemented by directory tiles that can name the L1
-// holding a block exclusively. It lets the reader consult the single
-// cache that can hold a fresher copy instead of scanning every L1 per
-// word read.
-type ownerSnooper interface {
-	SnoopOwner(addr uint64) (coherence.NodeID, bool)
+// sumByEvent adds each counter's value to the total its event name (the
+// part after the last '.') selects; other counters are skipped.
+func sumByEvent(cs []*stats.Counter, totals map[string]*int64) {
+	for _, c := range cs {
+		name := c.Name()
+		if p, ok := totals[name[strings.LastIndexByte(name, '.')+1:]]; ok {
+			*p += c.Value()
+		}
+	}
 }
+
+type hierReader struct{ m *Machine }
 
 func (r hierReader) ReadWord(addr uint64) uint64 {
 	// Resolve the home tile once; on a quiesced machine its directory
@@ -826,18 +818,9 @@ func (r hierReader) ReadWord(addr uint64) uint64 {
 	// so only the recorded owner can hold the block dirty.
 	tile := int(addr>>coherence.BlockShift) % r.m.Cfg.Cores
 	home := r.m.L2s[tile]
-	if os, ok := home.(ownerSnooper); ok {
-		if owner, held := os.SnoopOwner(addr); held {
-			if blk, ok := r.m.L1s[int(owner)].SnoopBlock(addr); ok {
-				return memsys.GetWord(blk, addr)
-			}
-		}
-	} else {
-		// Unknown directory flavor: fall back to scanning every L1.
-		for _, l1 := range r.m.L1s {
-			if blk, ok := l1.SnoopBlock(addr); ok {
-				return memsys.GetWord(blk, addr)
-			}
+	if owner, held := home.SnoopOwner(addr); held {
+		if blk, ok := r.m.L1s[int(owner)].SnoopBlock(addr); ok {
+			return memsys.GetWord(blk, addr)
 		}
 	}
 	if blk, ok := home.SnoopBlock(addr); ok {

@@ -167,14 +167,10 @@ func (c *ReplayCore) Done() bool {
 	return c.halted && c.wbLen == 0 && !c.wbInFlight && !c.waiting
 }
 
-// Counts implements system.Frontend.
-func (c *ReplayCore) Counts() (loads, stores, rmws, fences, instrs int64) {
-	return c.Loads.Value(), c.Stores.Value(), c.RMWs.Value(),
-		c.Fences.Value(), c.Instructions.Value()
-}
-
-// ObsCounters implements coherence.ObsCounterProvider.
-func (c *ReplayCore) ObsCounters() []*stats.Counter {
+// Counters returns the frontend's named retirement counters (the
+// system.Frontend counting contract: Result and the metrics registry
+// both read this one list).
+func (c *ReplayCore) Counters() []*stats.Counter {
 	return []*stats.Counter{&c.Loads, &c.Stores, &c.RMWs, &c.Fences,
 		&c.Instructions, &c.WBForwards}
 }

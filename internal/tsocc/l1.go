@@ -101,36 +101,21 @@ type L1 struct {
 	tsL2    lastSeen // per L2 tile (SharedRO timestamps)
 	epochL2 []uint8
 
-	// Optional hooks, nil in nominal runs (see coherence hooks doc):
-	// evictFault forces the eviction path on a valid-line access,
-	// resetFault forces an early timestamp rollover, transSink reports
-	// line-state transitions to the legality oracle, missSink reports
-	// per-miss issue-to-completion latency.
-	evictFault func() bool
-	resetFault func() bool
-	transSink  func(addr uint64, from, to int)
-	missSink   func(read bool, cycles sim.Cycle)
+	// hooks are the fault, oracle and metrics attachment points; every
+	// field is nil in a nominal run.
+	hooks coherence.Hooks
 
 	Stats coherence.L1Stats
 }
 
-// SetEvictFault implements coherence.EvictFaulter.
-func (l *L1) SetEvictFault(f func() bool) { l.evictFault = f }
-
-// SetResetFault implements coherence.ResetFaulter.
-func (l *L1) SetResetFault(f func() bool) { l.resetFault = f }
-
-// SetTransitionSink implements coherence.TransitionReporter.
-func (l *L1) SetTransitionSink(f func(addr uint64, from, to int)) { l.transSink = f }
-
-// SetMissLatencySink implements coherence.MissLatencyReporter.
-func (l *L1) SetMissLatencySink(f func(read bool, cycles sim.Cycle)) { l.missSink = f }
+// SetHooks implements coherence.Controller.
+func (l *L1) SetHooks(h coherence.Hooks) { l.hooks = h }
 
 // trans reports a line-state transition to the legality oracle;
 // self-loops are dropped here so call sites stay simple.
 func (l *L1) trans(addr uint64, from, to int) {
-	if l.transSink != nil && from != to {
-		l.transSink(addr, from, to)
+	if l.hooks.Transition != nil && from != to {
+		l.hooks.Transition(addr, from, to)
 	}
 }
 
@@ -264,7 +249,7 @@ func (l *L1) assignTS(now sim.Cycle) uint32 {
 	if !l.cfg.Timestamps() {
 		return tsInvalid
 	}
-	if l.resetFault != nil && l.resetFault() {
+	if l.hooks.ResetFault != nil && l.hooks.ResetFault() {
 		// Reset-storm fault: roll the timestamp space over as if TSMax
 		// were reached; the write below takes the first timestamp of
 		// the new epoch, exactly like a write straddling a real wrap.
@@ -324,7 +309,7 @@ func (l *L1) Load(now sim.Cycle, addr uint64, cb func(uint64)) bool {
 		return false
 	}
 	if w := l.cache.Lookup(addr); w != nil {
-		if l.evictFault != nil && l.evictFault() {
+		if l.hooks.EvictFault != nil && l.hooks.EvictFault() {
 			// Evict fault: run the normal eviction path (silent for
 			// S/R, PutE/PutM for E/M) and take the miss below.
 			l.evictLine(now, w)
@@ -373,7 +358,7 @@ func (l *L1) Store(now sim.Cycle, addr uint64, val uint64, cb func()) bool {
 		return false
 	}
 	if w := l.cache.Lookup(addr); w != nil && (w.Meta.state == stateE || w.Meta.state == stateM) {
-		if l.evictFault != nil && l.evictFault() {
+		if l.hooks.EvictFault != nil && l.hooks.EvictFault() {
 			l.evictLine(now, w) // fall through to the write miss below
 		} else {
 			l.trans(blk, w.Meta.state, stateM)
@@ -403,7 +388,7 @@ func (l *L1) RMW(now sim.Cycle, addr uint64, f func(uint64) (uint64, bool), cb f
 		return false
 	}
 	if w := l.cache.Lookup(addr); w != nil && (w.Meta.state == stateE || w.Meta.state == stateM) {
-		if l.evictFault != nil && l.evictFault() {
+		if l.hooks.EvictFault != nil && l.hooks.EvictFault() {
 			l.evictLine(now, w) // fall through to the write miss below
 		} else {
 			old := memsys.GetWord(w.Data[:], addr)
@@ -636,8 +621,8 @@ func (l *L1) completeWrite(now sim.Cycle, m *coherence.Msg) {
 	// writers and carrying the new write's timestamp, §3.2).
 	l.send(now, coherence.Msg{Type: coherence.MsgAck, Dst: l.home(tx.addr), Addr: tx.addr,
 		TS: ackTS, TSValid: wrote && l.cfg.Timestamps(), Epoch: l.epoch}, nil)
-	if l.missSink != nil {
-		l.missSink(false, now-tx.issued)
+	if l.hooks.MissLatency != nil {
+		l.hooks.MissLatency(false, now-tx.issued)
 	}
 	l.wr = nil
 	if tx.isRMW {
@@ -676,8 +661,8 @@ func (l *L1) completeRead(now sim.Cycle, m *coherence.Msg, state int) {
 		copy(w.Data[:], m.Data)
 		w.Meta.acnt = 0
 	}
-	if l.missSink != nil {
-		l.missSink(true, now-tx.issued)
+	if l.hooks.MissLatency != nil {
+		l.hooks.MissLatency(true, now-tx.issued)
 	}
 	l.rd = nil
 	tx.cb(val)
@@ -808,5 +793,5 @@ func (l *L1) handleInv(now sim.Cycle, m *coherence.Msg) {
 	l.send(now, coherence.Msg{Type: coherence.MsgInvAck, Dst: m.Src, Addr: m.Addr}, nil)
 }
 
-// PrewarmStorage implements coherence.StoragePrewarmer.
+// PrewarmStorage implements coherence.Controller.
 func (l *L1) PrewarmStorage() { l.cache.Prewarm() }

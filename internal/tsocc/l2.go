@@ -71,13 +71,9 @@ type L2 struct {
 	flag1    bool
 	flag2    bool
 
-	// Optional hooks, nil in nominal runs (see coherence hooks doc):
-	// resetFault forces early SharedRO timestamp rollovers,
-	// ackDelayFault holds back eviction acknowledgements, transSink
-	// reports directory-state transitions to the legality oracle.
-	resetFault    func() bool
-	ackDelayFault func() sim.Cycle
-	transSink     func(addr uint64, from, to int)
+	// hooks are the fault, oracle and metrics attachment points; every
+	// field is nil in a nominal run.
+	hooks coherence.Hooks
 
 	// Tile-level stats.
 	SROTransitions  stats.Counter
@@ -86,27 +82,19 @@ type L2 struct {
 	TimestampResets stats.Counter
 }
 
-// SetResetFault implements coherence.ResetFaulter.
-func (t *L2) SetResetFault(f func() bool) { t.resetFault = f }
+// SetHooks implements coherence.Controller.
+func (t *L2) SetHooks(h coherence.Hooks) { t.hooks = h }
 
-// SetAckDelayFault implements coherence.AckDelayFaulter.
-func (t *L2) SetAckDelayFault(f func() sim.Cycle) { t.ackDelayFault = f }
+// Txs implements coherence.Directory.
+func (t *L2) Txs() *coherence.TxTable { return &t.txs }
 
-// SetTransitionSink implements coherence.TransitionReporter.
-func (t *L2) SetTransitionSink(f func(addr uint64, from, to int)) { t.transSink = f }
-
-// ArmTxAudit implements coherence.TxAuditor.
-func (t *L2) ArmTxAudit(maxAge sim.Cycle, report func(string)) { t.txs.ArmAudit(maxAge, report) }
-
-// TxDebug implements coherence.TxDebugger (forensic TxTable dumps).
-func (t *L2) TxDebug() string { return fmt.Sprintf("tsocc L2 tile %d:%s", t.tile, t.txs.Debug()) }
-
-// SetTxObs implements coherence.TxObserver.
-func (t *L2) SetTxObs(lat func(cycles sim.Cycle), span func(begin bool, now sim.Cycle, addr uint64, kind int)) {
-	t.txs.SetObsSinks(lat, span)
+// Counters implements coherence.Directory: the tile's SharedRO,
+// decay-and-broadcast and timestamp-reset events.
+func (t *L2) Counters() []*stats.Counter {
+	return []*stats.Counter{&t.SROTransitions, &t.SROInvBcasts, &t.DecayEvents, &t.TimestampResets}
 }
 
-var txKindNames = [...]string{
+var txKindNames = []string{
 	txMemFetch: "mem-fetch",
 	txAwaitAck: "await-ack",
 	txFwdGetS:  "fwd-gets",
@@ -115,28 +103,11 @@ var txKindNames = [...]string{
 	txEvict:    "evict",
 }
 
-// TxKindName implements coherence.TxKindNamer.
-func (t *L2) TxKindName(kind int) string {
-	if kind > 0 && kind < len(txKindNames) {
-		return txKindNames[kind]
-	}
-	return fmt.Sprintf("kind-%d", kind)
-}
-
-// TxLive reports registered-but-unretired transactions (leak check).
-func (t *L2) TxLive() int64 { return t.txs.LiveTx() }
-
-// ObsCounters implements coherence.ObsCounterProvider.
-func (t *L2) ObsCounters() []*stats.Counter {
-	return append(t.txs.Counters(),
-		&t.SROTransitions, &t.SROInvBcasts, &t.DecayEvents, &t.TimestampResets)
-}
-
 // trans reports a directory-state transition to the legality oracle;
 // self-loops are dropped here so call sites stay simple.
 func (t *L2) trans(addr uint64, from, to int) {
-	if t.transSink != nil && from != to {
-		t.transSink(addr, from, to)
+	if t.hooks.Transition != nil && from != to {
+		t.hooks.Transition(addr, from, to)
 	}
 }
 
@@ -164,6 +135,7 @@ func NewL2(tile, cores int, sys config.System, cfg config.TSOCC, net coherence.N
 	l2.DecayEvents.SetName(label + ".decay_events")
 	l2.TimestampResets.SetName(label + ".timestamp_resets")
 	l2.txs.SetLabel(label)
+	l2.txs.SetKindNames(txKindNames)
 	return l2
 }
 
@@ -186,8 +158,8 @@ func (t *L2) sendAfterAccess(now sim.Cycle, tmpl coherence.Msg, data []byte) {
 // exactly the victim/writeback race the profile injects.
 func (t *L2) sendPutAck(now sim.Cycle, dst coherence.NodeID, addr uint64) {
 	extra := sim.Cycle(0)
-	if t.ackDelayFault != nil {
-		extra = t.ackDelayFault()
+	if t.hooks.AckDelay != nil {
+		extra = t.hooks.AckDelay()
 	}
 	t.timers.AtMsg(now+t.accessLat+extra, t.sendFn,
 		t.pool.NewFrom(coherence.Msg{Type: coherence.MsgPutAck, Dst: dst, Addr: addr}, nil))
@@ -211,24 +183,12 @@ func (t *L2) BindWaker(w sim.Waker) {
 // Deliver implements mesh.Endpoint.
 func (t *L2) Deliver(now sim.Cycle, m *coherence.Msg) { t.txs.Deliver(m) }
 
-// SetStall installs a TxTable consumption-stall hook (fault injection;
-// see faults.Injector.TxStall).
-func (t *L2) SetStall(f func(m *coherence.Msg) bool) { t.txs.SetStall(f) }
-
 // ComponentLabel implements sim.Labeled (forensic reports).
 func (t *L2) ComponentLabel() string { return fmt.Sprintf("tsocc L2 tile %d", t.tile) }
 
 // Debug renders outstanding directory state (deadlock diagnostics).
 func (t *L2) Debug() string {
 	return fmt.Sprintf("L2 %d:%s timers=%d", t.tile, t.txs.Debug(), t.timers.Pending())
-}
-
-// TileStats reports SharedRO transitions, Shared->SharedRO decay events,
-// SharedRO write broadcasts and tile timestamp resets (used by the
-// system-level result collection and the decay ablation).
-func (t *L2) TileStats() (sro, decay, bcasts, resets int64) {
-	return t.SROTransitions.Value(), t.DecayEvents.Value(),
-		t.SROInvBcasts.Value(), t.TimestampResets.Value()
 }
 
 // Busy implements coherence.Controller.
@@ -332,7 +292,7 @@ func (t *L2) assignSROTS(now sim.Cycle) uint32 {
 	if !t.cfg.Timestamps() {
 		return tsInvalid
 	}
-	if t.resetFault != nil && t.resetFault() {
+	if t.hooks.ResetFault != nil && t.hooks.ResetFault() {
 		// Reset-storm fault: roll the SharedRO timestamp space over as
 		// if TSMax were reached before assigning.
 		t.resetSRO(now)
@@ -734,5 +694,5 @@ func (t *L2) handlePut(now sim.Cycle, m *coherence.Msg) {
 	t.sendPutAck(now, m.Src, m.Addr)
 }
 
-// PrewarmStorage implements coherence.StoragePrewarmer.
+// PrewarmStorage implements coherence.Controller.
 func (t *L2) PrewarmStorage() { t.cache.Prewarm() }

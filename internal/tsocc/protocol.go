@@ -64,9 +64,9 @@ func (p Protocol) Name() string { return p.Cfg.Name() }
 
 // Build implements coherence.Protocol: one TSO-CC L1 per core and one
 // tile per core.
-func (p Protocol) Build(cfg config.System, net coherence.Network, mem coherence.Memory) ([]coherence.L1Like, []coherence.Controller) {
+func (p Protocol) Build(cfg config.System, net coherence.Network, mem coherence.Memory) ([]coherence.L1Like, []coherence.Directory) {
 	l1s := make([]coherence.L1Like, cfg.Cores)
-	l2s := make([]coherence.Controller, cfg.Cores)
+	l2s := make([]coherence.Directory, cfg.Cores)
 	for i := 0; i < cfg.Cores; i++ {
 		l1s[i] = NewL1(i, cfg.Cores, cfg, p.Cfg, net)
 		l2s[i] = NewL2(i, cfg.Cores, cfg, p.Cfg, net, mem)

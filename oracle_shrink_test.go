@@ -41,7 +41,7 @@ type buggyMESI struct{ inner system.Protocol }
 
 func (p buggyMESI) Name() string { return p.inner.Name() }
 
-func (p buggyMESI) Build(cfg config.System, net coherence.Network, mem coherence.Memory) ([]coherence.L1Like, []coherence.Controller) {
+func (p buggyMESI) Build(cfg config.System, net coherence.Network, mem coherence.Memory) ([]coherence.L1Like, []coherence.Directory) {
 	l1s, l2s := p.inner.Build(cfg, net, mem)
 	for i, l1 := range l1s {
 		l1s[i] = &buggyL1{L1Like: l1}
@@ -51,35 +51,27 @@ func (p buggyMESI) Build(cfg config.System, net coherence.Network, mem coherence
 
 type buggyL1 struct {
 	coherence.L1Like
-	sink  func(addr uint64, from, to int)
 	fires int
 }
 
-// SetTransitionSink intercepts the oracle's sink so the wrapper can
-// inject its bogus report, then forwards it to the real L1.
-func (b *buggyL1) SetTransitionSink(f func(addr uint64, from, to int)) {
-	b.sink = f
-	if tr, ok := b.L1Like.(coherence.TransitionReporter); ok {
-		tr.SetTransitionSink(f)
-	}
-}
-
-// SetEvictFault wraps the injector's hook: fires pass through, and the
-// buggyTrigger-th one also reports the illegal M → E transition.
-func (b *buggyL1) SetEvictFault(g func() bool) {
-	wrapped := func() bool {
-		fired := g()
-		if fired {
-			b.fires++
-			if b.fires == buggyTrigger && b.sink != nil {
-				b.sink(0xbad0, mesiL1M, mesiL1E)
+// SetHooks wraps the injector's evict-fault hook before attaching the
+// hooks to the real L1: fires pass through, and the buggyTrigger-th one
+// also reports the illegal M → E transition to the oracle's sink.
+func (b *buggyL1) SetHooks(h coherence.Hooks) {
+	evict, sink := h.EvictFault, h.Transition
+	if evict != nil {
+		h.EvictFault = func() bool {
+			fired := evict()
+			if fired {
+				b.fires++
+				if b.fires == buggyTrigger && sink != nil {
+					sink(0xbad0, mesiL1M, mesiL1E)
+				}
 			}
+			return fired
 		}
-		return fired
 	}
-	if ef, ok := b.L1Like.(coherence.EvictFaulter); ok {
-		ef.SetEvictFault(wrapped)
-	}
+	b.L1Like.SetHooks(h)
 }
 
 func TestSeededLegalityBugShrinks(t *testing.T) {
