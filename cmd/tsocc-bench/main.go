@@ -98,6 +98,14 @@ func main() {
 		}
 		return
 	}
+	// Reject a bad geometry before any mode generates a workload for it.
+	base := config.Scaled(*cores)
+	base.Shards = *shards
+	if err := base.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+
 	var protos []system.Protocol
 	if *protoList != "" {
 		for _, name := range strings.Split(*protoList, ",") {

@@ -77,6 +77,10 @@ func main() {
 	cfg.FaultUntil = *faultUntil
 	cfg.Checks = *checks
 	cfg.Shards = *shards
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *doShrink {
 		if *faultSpec == "" {

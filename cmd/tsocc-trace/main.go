@@ -114,6 +114,9 @@ func cmdRecord(args []string) error {
 		return fmt.Errorf("unknown benchmark %q (see -list-workloads)", *bench)
 	}
 	cfg := config.Scaled(*cores)
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	cfg.Obs = obs.FromPaths(*metricsOut, *timelineOut)
 	w := e.Gen(workloads.Params{Threads: *cores, Scale: *scale, Seed: *seed})
 	res, tr, err := system.RunRecorded(cfg, p, w, *seed)

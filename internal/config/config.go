@@ -212,6 +212,9 @@ func (s System) Validate() error {
 	if s.Shards < 0 {
 		return fmt.Errorf("config: shards must be non-negative")
 	}
+	if s.FaultUntil != 0 && s.FaultFrom >= s.FaultUntil {
+		return fmt.Errorf("config: fault window [%d, %d) is empty", s.FaultFrom, s.FaultUntil)
+	}
 	return nil
 }
 

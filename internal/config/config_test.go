@@ -103,10 +103,30 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{Cores: 4},
 		{Cores: 4, L1Size: 1024, L1Ways: 2, L2TileSize: 4096, L2Ways: 4},
 	}
+	emptyWindow := Scaled(4)
+	emptyWindow.FaultFrom, emptyWindow.FaultUntil = 10, 5
+	sameEdges := Scaled(4)
+	sameEdges.FaultFrom, sameEdges.FaultUntil = 7, 7
+	bad = append(bad, emptyWindow, sameEdges)
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Fatalf("case %d: expected validation error", i)
 		}
+	}
+}
+
+// TestValidateFaultWindow: FaultUntil 0 leaves the window unbounded
+// above, so any FaultFrom is accepted; a bounded window must be
+// non-empty (TestValidateRejectsBadConfigs covers the empty ones).
+func TestValidateFaultWindow(t *testing.T) {
+	s := Scaled(4)
+	s.FaultFrom = 10
+	if err := s.Validate(); err != nil {
+		t.Fatalf("open-ended fault window rejected: %v", err)
+	}
+	s.FaultUntil = 11
+	if err := s.Validate(); err != nil {
+		t.Fatalf("one-decision fault window rejected: %v", err)
 	}
 }
 

@@ -726,6 +726,9 @@ func Run(cfg config.System, proto Protocol, w *program.Workload) (*Result, error
 // geometry, the protocol name and the workload's initial memory image,
 // so it is self-contained for later replay.
 func RunRecorded(cfg config.System, proto Protocol, w *program.Workload, seed uint64) (*Result, *trace.Trace, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
 	rec := trace.NewRecorder(cfg, proto.Name(), w.Name, seed)
 	cfg.TraceOut = rec
 	res, err := Run(cfg, proto, w)

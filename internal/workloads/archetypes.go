@@ -22,7 +22,7 @@ type dataParallelCfg struct {
 func dataParallel(name string, p Params, c dataParallelCfg) *program.Workload {
 	paramsAddr := int64(roBase + 0x0020_0000)
 	queueAddr := int64(dataBase + 0x0020_0000)
-	progs := make([]*program.Program, p.Threads)
+	progs := make([]*program.Program, max(p.Threads, 0))
 	iters := p.scale(c.iters)
 	for t := 0; t < p.Threads; t++ {
 		b := program.NewBuilder(fmt.Sprintf("%s-t%d", name, t))
@@ -80,7 +80,7 @@ type scatterSwapCfg struct {
 
 func scatterSwap(name string, p Params, c scatterSwapCfg) *program.Workload {
 	acceptAddr := int64(dataBase + 0x0040_0000)
-	progs := make([]*program.Program, p.Threads)
+	progs := make([]*program.Program, max(p.Threads, 0))
 	iters := p.scale(c.iters)
 	for t := 0; t < p.Threads; t++ {
 		b := program.NewBuilder(fmt.Sprintf("%s-t%d", name, t))
@@ -134,7 +134,7 @@ type lockHashCfg struct {
 
 func lockHash(name string, p Params, c lockHashCfg) *program.Workload {
 	bucketBase := int64(dataBase) // bucket i counter at +i*64
-	progs := make([]*program.Program, p.Threads)
+	progs := make([]*program.Program, max(p.Threads, 0))
 	iters := p.scale(c.iters)
 	for t := 0; t < p.Threads; t++ {
 		b := program.NewBuilder(fmt.Sprintf("%s-t%d", name, t))
@@ -189,7 +189,7 @@ type pipelineCfg struct {
 }
 
 func pipeline(name string, p Params, c pipelineCfg) *program.Workload {
-	progs := make([]*program.Program, p.Threads)
+	progs := make([]*program.Program, max(p.Threads, 0))
 	items := p.scale(c.items)
 	for t := 0; t < p.Threads; t++ {
 		b := program.NewBuilder(fmt.Sprintf("%s-t%d", name, t))
@@ -245,7 +245,7 @@ type allToAllCfg struct {
 }
 
 func allToAll(name string, p Params, c allToAllCfg) *program.Workload {
-	progs := make([]*program.Program, p.Threads)
+	progs := make([]*program.Program, max(p.Threads, 0))
 	phases := p.scale(c.phases)
 	region := func(t int64) int64 { return int64(dataBase) + t*0x10000 }
 	for t := 0; t < p.Threads; t++ {
@@ -307,7 +307,7 @@ type blockedCfg struct {
 
 func blocked(name string, p Params, c blockedCfg) *program.Workload {
 	pivotBase := int64(dataBase + 0x0080_0000)
-	progs := make([]*program.Program, p.Threads)
+	progs := make([]*program.Program, max(p.Threads, 0))
 	phases := p.scale(c.phases)
 	for t := 0; t < p.Threads; t++ {
 		b := program.NewBuilder(fmt.Sprintf("%s-t%d", name, t))
@@ -389,7 +389,7 @@ type radixCfg struct {
 
 func radixSort(name string, p Params, c radixCfg) *program.Workload {
 	histBase := int64(dataBase + 0x0040_0000) // global bucket counters
-	progs := make([]*program.Program, p.Threads)
+	progs := make([]*program.Program, max(p.Threads, 0))
 	keys := p.scale(c.keysPerThread)
 	for t := 0; t < p.Threads; t++ {
 		b := program.NewBuilder(fmt.Sprintf("%s-t%d", name, t))
@@ -473,7 +473,7 @@ type neighborCfg struct {
 
 func neighbor(name string, p Params, c neighborCfg) *program.Workload {
 	cellBase := int64(dataBase) // cell i at +i*64
-	progs := make([]*program.Program, p.Threads)
+	progs := make([]*program.Program, max(p.Threads, 0))
 	iters := p.scale(c.iters)
 	for t := 0; t < p.Threads; t++ {
 		b := program.NewBuilder(fmt.Sprintf("%s-t%d", name, t))
@@ -564,7 +564,7 @@ type stmCfg struct {
 
 func stm(name string, p Params, c stmCfg) *program.Workload {
 	clockAddr := int64(dataBase + 0x0040_0000)
-	progs := make([]*program.Program, p.Threads)
+	progs := make([]*program.Program, max(p.Threads, 0))
 	txns := p.scale(c.txns)
 	for t := 0; t < p.Threads; t++ {
 		b := program.NewBuilder(fmt.Sprintf("%s-t%d", name, t))
@@ -651,7 +651,7 @@ type atomicScatterCfg struct {
 
 func atomicScatter(name string, p Params, c atomicScatterCfg) *program.Workload {
 	nodeBase := int64(dataBase)
-	progs := make([]*program.Program, p.Threads)
+	progs := make([]*program.Program, max(p.Threads, 0))
 	iters := p.scale(c.iters)
 	for t := 0; t < p.Threads; t++ {
 		b := program.NewBuilder(fmt.Sprintf("%s-t%d", name, t))
@@ -707,7 +707,7 @@ type hotQueueCfg struct {
 
 func hotQueue(name string, p Params, c hotQueueCfg) *program.Workload {
 	counterBase := int64(dataBase + 0x0040_0000) // queue q: head at +q*128, tail at +q*128+64
-	progs := make([]*program.Program, p.Threads)
+	progs := make([]*program.Program, max(p.Threads, 0))
 	iters := p.scale(c.iters)
 	for t := 0; t < p.Threads; t++ {
 		b := program.NewBuilder(fmt.Sprintf("%s-t%d", name, t))

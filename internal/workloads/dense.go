@@ -26,7 +26,7 @@ const (
 // chain.
 func DenseCompute(p Params) *program.Workload {
 	rounds := p.scale(200)
-	progs := make([]*program.Program, p.Threads)
+	progs := make([]*program.Program, max(p.Threads, 0))
 	for t := 0; t < p.Threads; t++ {
 		b := program.NewBuilder(fmt.Sprintf("dense-t%d", t))
 		b.Li(1, resultBase+int64(t)*64)

@@ -1,6 +1,7 @@
 package workloads_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
@@ -114,5 +115,27 @@ func TestDeterminism(t *testing.T) {
 	if r1.Cycles != r2.Cycles || r1.Flits != r2.Flits || r1.Msgs != r2.Msgs {
 		t.Fatalf("non-deterministic: run1 (%d cycles, %d flits), run2 (%d cycles, %d flits)",
 			r1.Cycles, r1.Flits, r2.Cycles, r2.Flits)
+	}
+}
+
+// TestNonPositiveThreadsFailValidate pins the error path for a bad core
+// count: no generator may panic on zero or negative Threads, and every
+// resulting workload must fail Validate (a CLI reports that instead of
+// crashing).
+func TestNonPositiveThreadsFailValidate(t *testing.T) {
+	for _, name := range workloads.Names() {
+		for _, threads := range []int{-3, 0} {
+			t.Run(fmt.Sprintf("%s/threads%d", name, threads), func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("generator panicked: %v", r)
+					}
+				}()
+				w := workloads.ByName(name).Gen(workloads.Params{Threads: threads, Scale: 1, Seed: 1})
+				if err := w.Validate(); err == nil {
+					t.Fatal("Validate accepted a workload with no threads")
+				}
+			})
+		}
 	}
 }
