@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race race-parallel bench-smoke bench bench-json bench-gate perf fuzz-smoke trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke ci
+.PHONY: all vet build test race race-parallel bench-smoke bench bench-json bench-gate perf perfbench fuzz-smoke trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke ci
 
 all: ci
 
@@ -12,6 +12,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark driver is a separate module (perfbench/go.mod), so the
+# root `go test ./...` never compiles it, although it reads Result
+# fields and Machine.Shards().
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) build ./... && $(GO) test ./...
 
 # Unit-test packages under the race detector with the TxTable lifecycle
 # assertions compiled in (mirrors the CI race job).
@@ -170,4 +176,4 @@ scale-smoke:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestFlitHopConservation|TestLinkEpochRebase' ./internal/mesh/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestParallelEngineBitIdentical/TSO-CC-4-12-3/canneal$$' .
 
-ci: vet build test race race-parallel bench-smoke bench-gate trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke
+ci: vet build test perfbench race race-parallel bench-smoke bench-gate trace-gate fault-smoke oracle-sweep parallel-smoke obs-smoke scale-smoke
