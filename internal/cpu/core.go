@@ -206,9 +206,8 @@ func (c *Core) Done() bool {
 	return c.halted && c.wbLen == 0 && !c.wbInFlight && !c.waiting
 }
 
-// Counters returns the frontend's named retirement counters (the
-// system.Frontend counting contract: Result and the metrics registry
-// both read this one list).
+// Counters implements system.Frontend: the one named counter list that
+// both Result and the metrics registry read.
 func (c *Core) Counters() []*stats.Counter {
 	return []*stats.Counter{&c.Loads, &c.Stores, &c.RMWs, &c.Fences,
 		&c.Instructions, &c.WBForwards, &c.WBFullStalls}

@@ -348,10 +348,13 @@ func (in *Injector) VictimActive() bool { return in.victim != nil }
 // active. A nil injector returns empty hooks.
 func (in *Injector) L1Hooks(core int) coherence.Hooks {
 	var h coherence.Hooks
-	if in != nil && in.evict != nil {
+	if in == nil {
+		return h
+	}
+	if in.evict != nil {
 		h.EvictFault = in.EvictHook(core)
 	}
-	if in != nil && in.reset != nil {
+	if in.reset != nil {
 		h.ResetFault = in.ResetHook(coherence.L1ID(core))
 	}
 	return h
@@ -363,10 +366,13 @@ func (in *Injector) L1Hooks(core int) coherence.Hooks {
 // hooks.
 func (in *Injector) L2Hooks(tile, cores int) coherence.Hooks {
 	var h coherence.Hooks
-	if in != nil && in.reset != nil {
+	if in == nil {
+		return h
+	}
+	if in.reset != nil {
 		h.ResetFault = in.ResetHook(coherence.L2ID(tile, cores))
 	}
-	if in != nil && in.victim != nil {
+	if in.victim != nil {
 		h.AckDelay = in.AckDelay(tile)
 	}
 	return h
