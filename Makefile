@@ -13,7 +13,7 @@ build:
 test:
 	$(GO) test ./...
 
-# The benchmark driver is a separate module (perfbench/go.mod), so the
+# perfbench is a separate module (perfbench/go.mod), so the
 # root `go test ./...` never compiles it, although it reads Result
 # fields and Machine.Shards().
 perfbench:
